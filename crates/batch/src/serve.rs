@@ -48,16 +48,22 @@ use crate::BatchError;
 use bist_obs::{export, CounterHandle, GaugeHandle, Obs, Registry};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 use subseq_bist::tgen::TgenConfig;
 use subseq_bist::{Backend, CompileOptions};
 
 /// Largest accepted request body: campaign specs are small, and the
 /// parser should never be fed an unbounded allocation.
 const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Largest accepted request head (request line plus headers): it is read
+/// before anything is known about the client, so it is capped like the
+/// body.
+const MAX_HEAD_BYTES: usize = 16 << 10;
 
 /// Configuration of a [`CampaignServer`].
 #[derive(Debug, Clone)]
@@ -483,17 +489,31 @@ impl Request {
     }
 }
 
-fn read_request(stream: &TcpStream) -> Result<Request, String> {
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| e.to_string())?;
+/// Reads one request. A refusal carries the status line to answer with.
+fn read_request(stream: &TcpStream) -> Result<Request, (&'static str, String)> {
+    let bad = |message: String| ("400 Bad Request", message);
+    let reader = BufReader::new(stream.try_clone().map_err(|e| bad(e.to_string()))?);
+    // The request line and every header line draw on one byte budget.
+    let mut head = reader.take(MAX_HEAD_BYTES as u64);
+    let mut head_line = || {
+        let mut line = String::new();
+        head.read_line(&mut line).map_err(|e| bad(e.to_string()))?;
+        if head.limit() == 0 && !line.ends_with('\n') {
+            return Err((
+                "431 Request Header Fields Too Large",
+                format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
+            ));
+        }
+        Ok(line)
+    };
+    let line = head_line()?;
     let mut parts = line.split_whitespace();
-    let method = parts.next().ok_or("empty request line")?.to_string();
-    let path = parts.next().ok_or("request line missing path")?.to_string();
+    let method = parts.next().ok_or_else(|| bad("empty request line".to_string()))?.to_string();
+    let path =
+        parts.next().ok_or_else(|| bad("request line missing path".to_string()))?.to_string();
     let mut headers = Vec::new();
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| e.to_string())?;
+        let header = head_line()?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -505,14 +525,25 @@ fn read_request(stream: &TcpStream) -> Result<Request, String> {
     let length: usize = headers
         .iter()
         .find(|(k, _)| k == "content-length")
-        .map_or(Ok(0), |(_, v)| v.parse().map_err(|_| format!("bad content-length `{v}`")))?;
+        .map_or(Ok(0), |(_, v)| v.parse().map_err(|_| bad(format!("bad content-length `{v}`"))))?;
     if length > MAX_BODY_BYTES {
-        return Err(format!("request body of {length} bytes exceeds {MAX_BODY_BYTES}"));
+        return Err(bad(format!("request body of {length} bytes exceeds {MAX_BODY_BYTES}")));
     }
     let mut body = vec![0u8; length];
-    reader.read_exact(&mut body).map_err(|e| e.to_string())?;
-    let body = String::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())?;
+    head.into_inner().read_exact(&mut body).map_err(|e| bad(e.to_string()))?;
+    let body = String::from_utf8(body).map_err(|_| bad("request body is not UTF-8".to_string()))?;
     Ok(Request { method, path, headers, body })
+}
+
+/// Closes a connection whose request was refused before it was read in
+/// full: stop writing, then discard a bounded amount of what the client
+/// is still sending (waiting at most a second per read). Closing with
+/// unread bytes would make the kernel answer with a reset, which can
+/// destroy the error response before the client reads it.
+fn discard_unread(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
+    let _ = std::io::copy(&mut stream.take(MAX_BODY_BYTES as u64), &mut std::io::sink());
 }
 
 fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) {
@@ -535,8 +566,9 @@ fn error_body(message: &str) -> String {
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let request = match read_request(&stream) {
         Ok(request) => request,
-        Err(e) => {
-            respond_json(&mut stream, "400 Bad Request", &error_body(&e));
+        Err((status, e)) => {
+            respond_json(&mut stream, status, &error_body(&e));
+            discard_unread(&stream);
             return;
         }
     };

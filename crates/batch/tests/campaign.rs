@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use bist_batch::{
     Campaign, CampaignEngine, CampaignOutcome, JobStatus, JsonlSink, MemorySink, ReportSink,
+    SchemeSpec,
 };
 use subseq_bist::netlist::benchmarks;
 use subseq_bist::tgen::TgenConfig;
@@ -226,4 +227,36 @@ fn instrumented_campaign_embeds_snapshot_and_reports_residency() {
     assert!(residency.total_approx_bytes() > 0);
     let rendered = residency.to_string();
     assert!(rendered.contains("3 circuits"), "{rendered}");
+}
+
+/// Golden digest of a fixed small campaign over every engine family:
+/// the packed label, the scalar reference and three sharded
+/// configurations, including `sharded:1:64`, which runs the same engine
+/// as `packed`. Each scheme sweeps a single `n`, so the best-`n`
+/// tie-break cannot move it. The constant was recorded before the
+/// packed engine was folded into the sharded one; a change to any
+/// engine's detection results, or to the summary's digest, moves it.
+#[test]
+fn engine_fold_keeps_the_golden_campaign_digest() {
+    let campaign = Campaign::new()
+        .suite_circuits(["s27", "a298", "a344"])
+        .backends([
+            Backend::Packed,
+            Backend::Scalar,
+            Backend::Sharded { threads: 1, width: 64 },
+            Backend::Sharded { threads: 2, width: 256 },
+            Backend::Sharded { threads: 1, width: 512 },
+        ])
+        .schemes([SchemeSpec::new("n2").ns([2]), SchemeSpec::new("n4").ns([4]).postprocess(false)])
+        .tgen(tiny_tgen());
+    let mut sink = MemorySink::new();
+    let outcome = {
+        let mut sinks: [&mut dyn ReportSink; 1] = [&mut sink];
+        CampaignEngine::new().run(&campaign, &mut sinks).unwrap()
+    };
+    assert_eq!(outcome.summary.jobs_ok, 3 * 5 * 2);
+    assert_eq!(outcome.summary.digest(), 0xa43b_dd70_6c0b_95af);
+    for record in sink.records.iter().filter(|r| r.backend == "packed") {
+        assert_eq!(record.metrics.as_ref().unwrap().engine, "packed64", "job {}", record.job);
+    }
 }

@@ -308,6 +308,28 @@ fn admission_bounds_and_submission_errors_are_typed_http_statuses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The request head is untrusted input: one oversized header line is
+/// refused with 431 after a bounded read, and the server keeps serving.
+#[test]
+fn oversized_request_head_is_refused_with_431() {
+    let dir = temp_journal_dir("head");
+    let (addr, _registry, server) =
+        start(ServeConfig { journal_dir: dir.clone(), ..ServeConfig::default() });
+
+    let huge = "x".repeat(64 << 10);
+    let refused = request(addr, "GET", "/healthz", &[("X-Padding", &huge)], "");
+    assert_eq!(refused.status, 431, "{}", refused.body);
+    assert!(refused.body.contains("request head exceeds"), "{}", refused.body);
+
+    let health = request(addr, "GET", "/healthz", &[], "");
+    assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));
+
+    let shutdown = request(addr, "POST", "/shutdown", &[], "");
+    assert_eq!(shutdown.status, 200);
+    server.join().expect("server thread exits cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Graceful drain: shutdown while a campaign is mid-flight finishes that
 /// campaign (every row streamed and journaled), cancels the queued one,
 /// and leaves BOTH journals resumable — the cancelled campaign's empty

@@ -133,12 +133,15 @@ impl Report {
     }
 
     /// Renders the report as a JSON document (hand-rolled: no serde in
-    /// this environment; names are ASCII identifiers by convention).
+    /// this environment; names are ASCII identifiers by convention). The
+    /// `"mode"` key records whether the timings come from a full run or
+    /// a smoke run, whose timings mean nothing.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"bench\": \"{}\",\n", escape(&self.name)));
+        out.push_str(&format!("  \"mode\": \"{}\",\n", if smoke() { "smoke" } else { "full" }));
         out.push_str("  \"results\": [\n");
         for (i, m) in self.measurements.iter().enumerate() {
             out.push_str(&format!(
@@ -179,8 +182,9 @@ impl Report {
 
 /// Validates that `text` is a syntactically well-formed JSON document
 /// with the `BENCH_*.json` report schema: a top-level object with a
-/// string `"bench"` and an array `"results"` whose entries each carry
-/// `name`, `iters`, `median_ns`, `min_ns` and `mean_ns`.
+/// string `"bench"`, a `"mode"` of `"full"` or `"smoke"` and an array
+/// `"results"` whose entries each carry `name`, `iters`, `median_ns`,
+/// `min_ns` and `mean_ns`.
 ///
 /// # Errors
 ///
@@ -369,15 +373,26 @@ impl JsonParser<'_> {
         }
     }
 
-    /// The report schema: `{"bench": <string>, "results": [<entry>...]}`.
+    /// The report schema:
+    /// `{"bench": <string>, "mode": "full"|"smoke", "results": [<entry>...]}`.
     fn report(&mut self) -> Result<(), String> {
         let mut saw_bench = false;
+        let mut saw_mode = false;
         let mut saw_results = false;
         self.object(|p, key| match key {
             "bench" => {
                 saw_bench = true;
                 p.ws();
                 p.string().map(|_| ())
+            }
+            "mode" => {
+                saw_mode = true;
+                p.ws();
+                let at = p.pos;
+                match p.string()?.as_str() {
+                    "full" | "smoke" => Ok(()),
+                    other => Err(format!("unknown mode `{other}` at byte {at}")),
+                }
             }
             "results" => {
                 saw_results = true;
@@ -387,6 +402,9 @@ impl JsonParser<'_> {
         })?;
         if !saw_bench {
             return Err("missing top-level `bench` key".to_string());
+        }
+        if !saw_mode {
+            return Err("missing top-level `mode` key".to_string());
         }
         if !saw_results {
             return Err("missing top-level `results` key".to_string());
@@ -476,15 +494,22 @@ mod tests {
         // Syntax errors.
         assert!(validate_json("{").is_err());
         assert!(validate_json("{}x").is_err());
-        assert!(validate_json(r#"{"bench": "a", "results": [,]}"#).is_err());
+        assert!(validate_json(r#"{"bench": "a", "mode": "full", "results": [,]}"#).is_err());
         // Schema violations.
         // Standard \uXXXX escapes are legal JSON; malformed ones are not.
-        let unicode = r#"{"bench": "caf\u00e9", "results": []}"#;
+        let unicode = r#"{"bench": "caf\u00e9", "mode": "full", "results": []}"#;
         validate_json(unicode).expect("\\u escape is valid JSON");
-        assert!(validate_json(r#"{"bench": "\u00zz", "results": []}"#).is_err());
+        assert!(validate_json(r#"{"bench": "\u00zz", "mode": "full", "results": []}"#).is_err());
         assert!(validate_json("{}").unwrap_err().contains("bench"));
-        assert!(validate_json(r#"{"bench": "a"}"#).unwrap_err().contains("results"));
-        let missing_key = r#"{"bench": "a", "results": [{"name": "x", "iters": 1}]}"#;
+        assert!(validate_json(r#"{"bench": "a", "mode": "full"}"#)
+            .unwrap_err()
+            .contains("results"));
+        // A report must say how it was made.
+        assert!(validate_json(r#"{"bench": "a", "results": []}"#).unwrap_err().contains("mode"));
+        let odd_mode = r#"{"bench": "a", "mode": "quick", "results": []}"#;
+        assert!(validate_json(odd_mode).unwrap_err().contains("quick"));
+        let missing_key =
+            r#"{"bench": "a", "mode": "full", "results": [{"name": "x", "iters": 1}]}"#;
         assert!(validate_json(missing_key).unwrap_err().contains("median_ns"));
     }
 
@@ -492,14 +517,20 @@ mod tests {
     fn smoke_mode_runs_fast_and_round_trips() {
         let _serial = BENCH_GUARD.lock().unwrap();
         set_smoke(true);
-        let m = bench("smoke_spin", || std::hint::black_box(41) + 1);
+        let mut r = Report::new("unit");
+        r.run("smoke_spin", || std::hint::black_box(41) + 1);
+        let json = r.to_json();
         set_smoke(false);
+        let m = &r.measurements[0];
+        assert!(json.contains("\"mode\": \"smoke\""), "{json}");
+        validate_json(&json).expect("smoke report is schema-valid");
         assert!(m.iters >= 1);
         assert!(m.median_ns > 0.0);
     }
 
     #[test]
     fn json_shape() {
+        let _serial = BENCH_GUARD.lock().unwrap();
         let mut r = Report::new("unit");
         r.measurements.push(Measurement {
             name: "a\"b".into(),
@@ -510,9 +541,22 @@ mod tests {
         });
         let json = r.to_json();
         assert!(json.contains("\"bench\": \"unit\""));
+        assert!(json.contains("\"mode\": \"full\""));
         assert!(json.contains("a\\\"b"));
         assert!(json.contains("\"median_ns\": 1.5"));
         assert!(r.get("a\"b").is_some());
         assert!(r.get("missing").is_none());
+    }
+
+    /// The committed fault-simulation trajectory file is the evidence
+    /// for engine claims, so it must be a schema-valid full-mode run, not
+    /// smoke output.
+    #[test]
+    fn committed_fault_sim_report_is_a_full_mode_run() {
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fault_sim.json");
+        let text = std::fs::read_to_string(&path).expect("BENCH_fault_sim.json is committed");
+        validate_json(&text).expect("committed report is schema-valid");
+        assert!(text.contains("\"mode\": \"full\""), "{} is not a full-mode run", path.display());
     }
 }

@@ -3,26 +3,22 @@
 //! [`SimBackend`] is the engine interface behind
 //! [`FaultSimulator`](crate::FaultSimulator): given a circuit — in its
 //! compiled [`GateTape`] form — a replayable stream of input vectors and
-//! a fault list, produce the first detection time of every fault. Three
+//! a fault list, produce the first detection time of every fault. Two
 //! engines are provided:
 //!
-//! * [`PackedBackend`] — the single-threaded production engine: 63 faulty
-//!   machines per pass, one per [`PackedValue`] lane, with the good
-//!   machine fused into the last lane, fault dropping and early exit.
-//! * [`ShardedBackend`] — the scaled engine: the fault list is split into
-//!   contiguous shards across OS threads (scoped threads, no runtime
-//!   dependencies), and each shard runs the same chunked pass at a
-//!   configurable [`WordWidth`] — 64, 256 or 512 machines per word — and
-//!   a configurable [`StateLayout`]: the default interleaved
-//!   array-of-words layout whose generic chunk pass lives in this module
-//!   (its `[u64; N]` plane loops autovectorize, so one pass can advance
-//!   255 or 511 faulty machines) or the blocked bit-plane layout of
-//!   [`crate::planes`] for hosts where the wide value table outruns the
-//!   cache.
+//! * [`ShardedBackend`] — the packed engine: the fault list is split
+//!   into contiguous shards across OS threads (scoped threads, no runtime
+//!   dependencies), and each shard runs a chunked pass at a configurable
+//!   [`WordWidth`] — 64, 256 or 512 machines per word, one faulty machine
+//!   per lane with the good machine fused into the top lane. Its
+//!   `[u64; N]` plane loops autovectorize, so one pass can advance 255 or
+//!   511 faulty machines. At one thread and 64 lanes
+//!   ([`ShardedBackend::packed64`]) it is the single-threaded production
+//!   engine, reported as `packed64`.
 //! * [`ScalarBackend`] — a deliberately simple reference: one faulty
 //!   machine at a time over the scalar [`Logic`](crate::Logic) algebra,
 //!   run in lockstep with its own fault-free machine. Exists for
-//!   differential testing of the packed engines. (The even simpler
+//!   differential testing of the packed engine. (The even simpler
 //!   node-graph oracle that bypasses the tape entirely lives in
 //!   [`crate::reference`].)
 //!
@@ -40,7 +36,7 @@
 //! buffer, injector tables), so a chunked pass allocates nothing.
 //!
 //! All engines fuse the good machine into the fault passes: the packed
-//! engines reserve the top lane of every word for the fault-free machine
+//! engine reserves the top lane of every word for the fault-free machine
 //! and the scalar engine streams a good/faulty pair, so the fault-free
 //! primary-output trace is **never** collected up front and detection is
 //! O(1) in stream length. A chunk pass also terminates the stream walk
@@ -64,9 +60,9 @@ use std::fmt;
 use std::time::Instant;
 
 /// `forced_gates` flag: some fanin pin of the gate carries a branch force.
-pub(crate) const IN_FORCE: u8 = 1;
+const IN_FORCE: u8 = 1;
 /// `forced_gates` flag: the gate's output carries a stem force.
-pub(crate) const OUT_FORCE: u8 = 2;
+const OUT_FORCE: u8 = 2;
 
 /// A sequential stuck-at fault-simulation engine.
 ///
@@ -146,7 +142,7 @@ pub trait SimBackend: fmt::Debug + Send + Sync {
 /// integer add per vector/chunk) and merged into the sink once per
 /// shard — the no-op sink then costs nothing but those adds.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SweepStats {
+struct SweepStats {
     /// Vector steps simulated, summed over chunk passes.
     pub vectors: u64,
     /// Chunk passes run.
@@ -162,7 +158,7 @@ pub(crate) struct SweepStats {
 /// branches, so the `detect/tape/*` bench path pays no name lookups and
 /// no clock reads.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SweepObs {
+struct SweepObs {
     active: bool,
     cancel: Option<CancelToken>,
     vectors: CounterHandle,
@@ -173,7 +169,7 @@ pub(crate) struct SweepObs {
 }
 
 impl SweepObs {
-    pub(crate) fn new(obs: &Obs) -> Self {
+    fn new(obs: &Obs) -> Self {
         SweepObs {
             active: obs.is_active(),
             cancel: obs.cancel_token().cloned(),
@@ -186,7 +182,7 @@ impl SweepObs {
     }
 
     /// Whether flushing will record anything (gates the clock reads).
-    pub(crate) fn is_active(&self) -> bool {
+    fn is_active(&self) -> bool {
         self.active
     }
 
@@ -194,7 +190,7 @@ impl SweepObs {
     /// `None` branch when no token rides the sweep). A cancelled token
     /// aborts the sweep with [`SimError::Cancelled`] so a timed-out job
     /// releases its worker instead of finishing a doomed pass.
-    pub(crate) fn check_cancelled(&self) -> Result<(), SimError> {
+    fn check_cancelled(&self) -> Result<(), SimError> {
         match &self.cancel {
             None => Ok(()),
             Some(token) => match token.kind() {
@@ -207,7 +203,7 @@ impl SweepObs {
     }
 
     /// Merges one shard's tallies and busy time into the sink.
-    pub(crate) fn flush(&self, stats: &SweepStats, busy_us: u64) {
+    fn flush(&self, stats: &SweepStats, busy_us: u64) {
         self.vectors.add(stats.vectors);
         self.chunks.add(stats.chunks);
         self.early_exits.add(stats.early_exits);
@@ -217,7 +213,7 @@ impl SweepObs {
 }
 
 /// Microseconds since `start`, saturating.
-pub(crate) fn elapsed_us(start: Instant) -> u64 {
+fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
@@ -261,7 +257,7 @@ impl NodeBitmap {
 /// indices are validated against the word width at
 /// [`load`](Injector::load) time, so an oversized chunk surfaces a typed
 /// error instead of panicking inside `set_lane`.
-pub(crate) struct Injector {
+struct Injector {
     /// Nodes with output (stem) forces in the current chunk.
     out_touched: Vec<usize>,
     out_forces: Vec<Vec<(usize, Logic)>>,
@@ -273,11 +269,11 @@ pub(crate) struct Injector {
     /// Tape positions of gates needing the checked per-gate path this
     /// chunk, sorted ascending, flagged [`IN_FORCE`] / [`OUT_FORCE`].
     /// Forces on PI/DFF nodes are not gates and stay bitmap-only.
-    pub(crate) forced_gates: Vec<(u32, u8)>,
+    forced_gates: Vec<(u32, u8)>,
 }
 
 impl Injector {
-    pub(crate) fn new(num_nodes: usize) -> Self {
+    fn new(num_nodes: usize) -> Self {
         Injector {
             out_touched: Vec::new(),
             out_forces: vec![Vec::new(); num_nodes],
@@ -306,7 +302,7 @@ impl Injector {
     /// Loads one chunk of faults, one lane each. `fault_lanes` is the
     /// engine's per-pass capacity (word width minus the good-machine
     /// lane).
-    pub(crate) fn load(
+    fn load(
         &mut self,
         tape: &GateTape,
         chunk: &[Fault],
@@ -363,14 +359,14 @@ impl Injector {
 
     /// Single-bit test: does `node` carry a stem force this chunk?
     #[inline]
-    pub(crate) fn output_forced(&self, node: usize) -> bool {
+    fn output_forced(&self, node: usize) -> bool {
         self.out_bits.get(node)
     }
 
     /// Single-bit test: does any fanin pin of `node` carry a branch force
     /// this chunk?
     #[inline]
-    pub(crate) fn input_forced(&self, node: usize) -> bool {
+    fn input_forced(&self, node: usize) -> bool {
         self.in_bits.get(node)
     }
 
@@ -393,41 +389,6 @@ impl Injector {
         }
         value
     }
-
-    /// Plane-filtered [`force_output`](Self::force_output) for the
-    /// bit-plane engines: applies only the stem forces whose lane lives
-    /// in plane word `p` (lane `l` → plane `l / 64`, bit `l % 64`).
-    #[inline]
-    pub(crate) fn force_output_in_plane(
-        &self,
-        node: usize,
-        p: usize,
-        mut value: PackedValue,
-    ) -> PackedValue {
-        for &(lane, forced) in &self.out_forces[node] {
-            if lane >> 6 == p {
-                value.set_lane(lane & 63, forced);
-            }
-        }
-        value
-    }
-
-    /// Plane-filtered [`forced_input`](Self::forced_input).
-    #[inline]
-    pub(crate) fn forced_input_in_plane(
-        &self,
-        node: usize,
-        pin: u32,
-        p: usize,
-        mut value: PackedValue,
-    ) -> PackedValue {
-        for &(pp, lane, forced) in &self.in_forces[node] {
-            if pp == pin && lane >> 6 == p {
-                value.set_lane(lane & 63, forced);
-            }
-        }
-        value
-    }
 }
 
 /// Two-operand packed gate evaluation — the fast path for the dominant
@@ -436,7 +397,7 @@ impl Injector {
 /// (including the arity-1 kinds, which a validated netlist never pairs
 /// with two fanins).
 #[inline]
-pub(crate) fn eval2<W: PackedWord>(kind: GateKind, a: W, b: W) -> W {
+fn eval2<W: PackedWord>(kind: GateKind, a: W, b: W) -> W {
     match kind {
         GateKind::And => a.and(b),
         GateKind::Nand => W::not(a.and(b)),
@@ -696,39 +657,9 @@ fn run_shard<W: PackedWord>(
 }
 
 /// Splits the fault list across `threads` scoped OS threads, each running
-/// `run_shard` on its own contiguous slice of faults and result slots.
+/// [`run_shard`] on its own contiguous slice of faults and result slots.
 /// Shard boundaries are rounded to whole chunks so no pass is wasted on a
-/// partial word mid-list. Shared by both state layouts — the layout only
-/// decides what `run_shard` does inside one shard.
-pub(crate) fn shard_across_threads<F>(
-    faults: &[Fault],
-    times: &mut [Option<usize>],
-    threads: usize,
-    per_chunk: usize,
-    run_shard: F,
-) -> Result<(), SimError>
-where
-    F: Fn(&[Fault], &mut [Option<usize>]) -> Result<(), SimError> + Sync,
-{
-    let shard = faults.len().div_ceil(threads).div_ceil(per_chunk).max(1) * per_chunk;
-    if threads == 1 || faults.len() <= shard {
-        return run_shard(faults, times);
-    }
-    std::thread::scope(|scope| {
-        let run_shard = &run_shard;
-        let handles: Vec<_> = faults
-            .chunks(shard)
-            .zip(times.chunks_mut(shard))
-            .map(|(chunk, slots)| scope.spawn(move || run_shard(chunk, slots)))
-            .collect();
-        for handle in handles {
-            handle.join().expect("shard thread panicked")?;
-        }
-        Ok(())
-    })
-}
-
-/// [`shard_across_threads`] over the interleaved array-of-words engine.
+/// partial word mid-list.
 fn run_sharded<W: PackedWord>(
     tape: &GateTape,
     source: &dyn VectorSource,
@@ -737,48 +668,24 @@ fn run_sharded<W: PackedWord>(
     threads: usize,
     sweep: &SweepObs,
 ) -> Result<(), SimError> {
-    shard_across_threads(faults, times, threads, W::LANES - 1, |chunk, slots| {
-        run_shard::<W>(tape, source, chunk, slots, sweep)
+    let per_chunk = W::LANES - 1;
+    let shard = faults.len().div_ceil(threads).div_ceil(per_chunk).max(1) * per_chunk;
+    if threads == 1 || faults.len() <= shard {
+        return run_shard::<W>(tape, source, faults, times, sweep);
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = faults
+            .chunks(shard)
+            .zip(times.chunks_mut(shard))
+            .map(|(chunk, slots)| {
+                scope.spawn(move || run_shard::<W>(tape, source, chunk, slots, sweep))
+            })
+            .collect();
+        for handle in handles {
+            handle.join().expect("shard thread panicked")?;
+        }
+        Ok(())
     })
-}
-
-// ---------------------------------------------------------------------
-// Packed engine (63 faulty machines + fused good machine per pass)
-// ---------------------------------------------------------------------
-
-/// The single-threaded production engine: faults are simulated 63 at a
-/// time, each low lane of a [`PackedValue`] carrying one faulty machine
-/// and the top lane the fused fault-free machine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PackedBackend;
-
-impl SimBackend for PackedBackend {
-    fn name(&self) -> &'static str {
-        "packed64"
-    }
-
-    fn detection_times_tape(
-        &self,
-        tape: &GateTape,
-        source: &dyn VectorSource,
-        faults: &[Fault],
-    ) -> Result<Vec<Option<usize>>, SimError> {
-        self.detection_times_tape_obs(tape, source, faults, &Obs::noop())
-    }
-
-    fn detection_times_tape_obs(
-        &self,
-        tape: &GateTape,
-        source: &dyn VectorSource,
-        faults: &[Fault],
-        obs: &Obs,
-    ) -> Result<Vec<Option<usize>>, SimError> {
-        validate_width(tape.num_inputs(), source)?;
-        let sweep = SweepObs::new(obs);
-        let mut times = vec![None; faults.len()];
-        run_shard::<PackedValue>(tape, source, faults, &mut times, &sweep)?;
-        Ok(times)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -795,33 +702,6 @@ pub enum WordWidth {
     W256,
     /// 512 lanes ([`PackedValue512`]): 511 faults + good machine per pass.
     W512,
-}
-
-/// How a packed engine lays out its simulation state in memory. Both
-/// layouts are bit-identical in results (pinned by the differential and
-/// randomized-fuzz suites); they differ only in how the value table maps
-/// onto the cache hierarchy, so which one is faster is a property of the
-/// host. The `state_layout/*` group of `BENCH_fault_sim.json` records
-/// the A/B for the build host; on hosts whose wide registers and last-
-/// level cache favor the interleaved loops (AVX-512 with a large LLC,
-/// like the current build host) [`Interleaved`] wins, while
-/// [`BitPlanes`] targets hosts where the `16·N`-bytes-per-slot value
-/// table outruns the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum StateLayout {
-    /// Array of words: one `PackedVec<N>` (all `2·N` plane words of a
-    /// signal, interleaved) per gate slot. Its element-wise `[u64; N]`
-    /// gate loops autovectorize (AVX2/AVX-512 under
-    /// `target-cpu=native`), so one instruction advances 4–8 plane
-    /// words. The production default.
-    #[default]
-    Interleaved,
-    /// Structure of bit planes with blocked tape sweeps: `2·N`
-    /// contiguous `u64` rows indexed `[plane][gate_slot]`, swept one
-    /// plane at a time over the tape's cache-sized
-    /// [`tiles`](GateTape::tiles) so a sweep's working set is two rows
-    /// (`16 · nodes` bytes) instead of the whole table.
-    BitPlanes,
 }
 
 impl WordWidth {
@@ -847,7 +727,7 @@ impl WordWidth {
     }
 }
 
-/// The scaled engine: fault-list sharding across OS threads × wide-word
+/// The packed engine: fault-list sharding across OS threads × wide-word
 /// lane packing, behind the same [`SimBackend`] trait.
 ///
 /// Each thread owns a contiguous shard of the collapsed fault list and
@@ -870,49 +750,43 @@ impl WordWidth {
 /// let engine = ShardedBackend::new(2, WordWidth::W256)?;
 /// let times = engine.detection_times(&c, &t0, &faults)?;
 /// assert_eq!(times.iter().filter(|t| t.is_some()).count(), 32);
+/// assert_eq!(times, ShardedBackend::packed64().detection_times(&c, &t0, &faults)?);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedBackend {
     threads: usize,
     width: WordWidth,
-    layout: StateLayout,
 }
 
 impl ShardedBackend {
     /// Creates an engine with `threads` worker threads at `width` lanes
-    /// per word, using the default [`StateLayout`].
+    /// per word.
     ///
     /// # Errors
     ///
     /// [`SimError::ZeroThreads`] if `threads == 0`.
     pub fn new(threads: usize, width: WordWidth) -> Result<Self, SimError> {
-        ShardedBackend::with_layout(threads, width, StateLayout::default())
-    }
-
-    /// Creates an engine with an explicit state layout — the A/B switch
-    /// behind the `state_layout` benchmark group.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::ZeroThreads`] if `threads == 0`.
-    pub fn with_layout(
-        threads: usize,
-        width: WordWidth,
-        layout: StateLayout,
-    ) -> Result<Self, SimError> {
         if threads == 0 {
             return Err(SimError::ZeroThreads);
         }
-        Ok(ShardedBackend { threads, width, layout })
+        Ok(ShardedBackend { threads, width })
+    }
+
+    /// The single-threaded production engine, reported as `packed64`:
+    /// one thread, 64 lanes — 63 faulty machines plus the fused good
+    /// machine per pass.
+    #[must_use]
+    pub const fn packed64() -> Self {
+        ShardedBackend { threads: 1, width: WordWidth::W64 }
     }
 
     /// An engine sized to the host: one thread per available core at the
-    /// default 256-lane width and default state layout.
+    /// default 256-lane width.
     #[must_use]
     pub fn auto() -> Self {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        ShardedBackend { threads, width: WordWidth::default(), layout: StateLayout::default() }
+        ShardedBackend { threads, width: WordWidth::default() }
     }
 
     /// Number of worker threads.
@@ -926,12 +800,6 @@ impl ShardedBackend {
     pub fn width(&self) -> WordWidth {
         self.width
     }
-
-    /// The configured state layout.
-    #[must_use]
-    pub fn layout(&self) -> StateLayout {
-        self.layout
-    }
 }
 
 impl Default for ShardedBackend {
@@ -942,13 +810,11 @@ impl Default for ShardedBackend {
 
 impl SimBackend for ShardedBackend {
     fn name(&self) -> &'static str {
-        match (self.layout, self.width) {
-            (StateLayout::Interleaved, WordWidth::W64) => "sharded64",
-            (StateLayout::Interleaved, WordWidth::W256) => "sharded256",
-            (StateLayout::Interleaved, WordWidth::W512) => "sharded512",
-            (StateLayout::BitPlanes, WordWidth::W64) => "sharded64_planes",
-            (StateLayout::BitPlanes, WordWidth::W256) => "sharded256_planes",
-            (StateLayout::BitPlanes, WordWidth::W512) => "sharded512_planes",
+        match (self.threads, self.width) {
+            (1, WordWidth::W64) => "packed64",
+            (_, WordWidth::W64) => "sharded64",
+            (_, WordWidth::W256) => "sharded256",
+            (_, WordWidth::W512) => "sharded512",
         }
     }
 
@@ -973,41 +839,12 @@ impl SimBackend for ShardedBackend {
         debug_assert!(self.threads >= 1);
         let sweep = SweepObs::new(obs);
         let mut times = vec![None; faults.len()];
-        use crate::planes::run_sharded_planes;
-        match (self.layout, self.width) {
-            (StateLayout::BitPlanes, WordWidth::W64) => {
-                run_sharded_planes::<1>(tape, source, faults, &mut times, self.threads, &sweep)?;
-            }
-            (StateLayout::BitPlanes, WordWidth::W256) => {
-                run_sharded_planes::<4>(tape, source, faults, &mut times, self.threads, &sweep)?;
-            }
-            (StateLayout::BitPlanes, WordWidth::W512) => {
-                run_sharded_planes::<8>(tape, source, faults, &mut times, self.threads, &sweep)?;
-            }
-            (StateLayout::Interleaved, WordWidth::W64) => {
-                run_sharded::<PackedValue>(tape, source, faults, &mut times, self.threads, &sweep)?;
-            }
-            (StateLayout::Interleaved, WordWidth::W256) => {
-                run_sharded::<PackedValue256>(
-                    tape,
-                    source,
-                    faults,
-                    &mut times,
-                    self.threads,
-                    &sweep,
-                )?;
-            }
-            (StateLayout::Interleaved, WordWidth::W512) => {
-                run_sharded::<PackedValue512>(
-                    tape,
-                    source,
-                    faults,
-                    &mut times,
-                    self.threads,
-                    &sweep,
-                )?;
-            }
-        }
+        let run = match self.width {
+            WordWidth::W64 => run_sharded::<PackedValue>,
+            WordWidth::W256 => run_sharded::<PackedValue256>,
+            WordWidth::W512 => run_sharded::<PackedValue512>,
+        };
+        run(tape, source, faults, &mut times, self.threads, &sweep)?;
         Ok(times)
     }
 }
@@ -1019,7 +856,7 @@ impl SimBackend for ShardedBackend {
 /// The reference engine: one faulty machine at a time over the scalar
 /// three-valued algebra, streamed in lockstep with its own fault-free
 /// machine (the scalar form of good-machine fusion) — both walking the
-/// compiled tape. Dramatically slower than the packed engines on large
+/// compiled tape. Dramatically slower than the packed engine on large
 /// fault lists; exists for differential testing and as the simplest
 /// possible template for new backends. For a tape-free oracle, see
 /// [`crate::reference`].
@@ -1093,9 +930,9 @@ mod tests {
 
     fn all_engines() -> Vec<Box<dyn SimBackend>> {
         vec![
-            Box::new(PackedBackend),
+            Box::new(ShardedBackend::packed64()),
             Box::new(ScalarBackend),
-            Box::new(ShardedBackend::new(1, WordWidth::W64).unwrap()),
+            Box::new(ShardedBackend::new(2, WordWidth::W64).unwrap()),
             Box::new(ShardedBackend::new(2, WordWidth::W256).unwrap()),
             Box::new(ShardedBackend::new(4, WordWidth::W512).unwrap()),
         ]
@@ -1111,23 +948,19 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let obs = Obs::noop().with_cancel(token);
-        let mut engines = all_engines();
-        engines.push(Box::new(
-            ShardedBackend::with_layout(2, WordWidth::W256, StateLayout::BitPlanes).unwrap(),
-        ));
-        for engine in engines {
+        for engine in all_engines() {
             let err = engine.detection_times_tape_obs(&tape, &t0, &faults, &obs).unwrap_err();
             assert_eq!(err, SimError::Cancelled { deadline_expired: false }, "{}", engine.name());
         }
         // An already-expired deadline reports the deadline kind.
         let expired = Obs::noop().with_cancel(CancelToken::with_deadline(Instant::now()));
-        let err =
-            PackedBackend.detection_times_tape_obs(&tape, &t0, &faults, &expired).unwrap_err();
+        let packed = ShardedBackend::packed64();
+        let err = packed.detection_times_tape_obs(&tape, &t0, &faults, &expired).unwrap_err();
         assert_eq!(err, SimError::Cancelled { deadline_expired: true });
         // A live (uncancelled) token leaves results bit-identical.
         let live = Obs::noop().with_cancel(CancelToken::new());
-        let plain = PackedBackend.detection_times_tape(&tape, &t0, &faults).unwrap();
-        let tokened = PackedBackend.detection_times_tape_obs(&tape, &t0, &faults, &live).unwrap();
+        let plain = packed.detection_times_tape(&tape, &t0, &faults).unwrap();
+        let tokened = packed.detection_times_tape_obs(&tape, &t0, &faults, &live).unwrap();
         assert_eq!(plain, tokened);
     }
 
@@ -1136,7 +969,7 @@ mod tests {
         let c = benchmarks::s27();
         let faults = collapse(&c, &fault_universe(&c)).representatives().to_vec();
         let t0 = table2_t0();
-        let packed = PackedBackend.detection_times(&c, &t0, &faults).unwrap();
+        let packed = ShardedBackend::packed64().detection_times(&c, &t0, &faults).unwrap();
         let scalar = ScalarBackend.detection_times(&c, &t0, &faults).unwrap();
         assert_eq!(packed, scalar);
         assert_eq!(packed.iter().filter(|t| t.is_some()).count(), 32);
@@ -1172,7 +1005,8 @@ mod tests {
         }
         // And the stream equals simulating the materialized expansion.
         let materialized = cfg.expand(&s);
-        let on_mat = PackedBackend.detection_times(&c, &materialized, &faults).unwrap();
+        let on_mat =
+            ShardedBackend::packed64().detection_times(&c, &materialized, &faults).unwrap();
         assert_eq!(on_mat, reference);
     }
 
@@ -1285,6 +1119,9 @@ mod tests {
         assert_eq!(e.threads(), 3);
         assert_eq!(e.width(), WordWidth::W64);
         assert_eq!(e.name(), "sharded64");
+        // One thread at 64 lanes is the packed64 engine, by value and name.
+        assert_eq!(ShardedBackend::new(1, WordWidth::W64).unwrap(), ShardedBackend::packed64());
+        assert_eq!(ShardedBackend::packed64().name(), "packed64");
         assert!(ShardedBackend::auto().threads() >= 1);
         assert_eq!(ShardedBackend::default().width(), WordWidth::W256);
         assert_eq!(WordWidth::from_lanes(256), Some(WordWidth::W256));
@@ -1312,34 +1149,10 @@ mod tests {
 
     #[test]
     fn names_differ() {
-        assert_ne!(PackedBackend.name(), ScalarBackend.name());
+        assert_ne!(ShardedBackend::packed64().name(), ScalarBackend.name());
         assert_ne!(
             ShardedBackend::new(1, WordWidth::W64).unwrap().name(),
             ShardedBackend::new(1, WordWidth::W256).unwrap().name()
         );
-    }
-
-    #[test]
-    fn state_layouts_are_bit_identical_and_distinguishable() {
-        let c = benchmarks::s27();
-        let faults = collapse(&c, &fault_universe(&c)).representatives().to_vec();
-        let t0 = table2_t0();
-        let reference = ScalarBackend.detection_times(&c, &t0, &faults).unwrap();
-        for width in [WordWidth::W64, WordWidth::W256, WordWidth::W512] {
-            let planes =
-                ShardedBackend::with_layout(2, width, crate::StateLayout::BitPlanes).unwrap();
-            let aos =
-                ShardedBackend::with_layout(2, width, crate::StateLayout::Interleaved).unwrap();
-            assert_ne!(planes.name(), aos.name());
-            assert!(planes.name().ends_with("_planes"), "{}", planes.name());
-            assert_eq!(planes.detection_times(&c, &t0, &faults).unwrap(), reference);
-            assert_eq!(aos.detection_times(&c, &t0, &faults).unwrap(), reference);
-        }
-        // The default layout is the autovectorizing interleaved layout
-        // (the A/B on the build host: see state_layout/* in
-        // BENCH_fault_sim.json), under the historic engine names.
-        let default = ShardedBackend::new(1, WordWidth::W256).unwrap();
-        assert_eq!(default.layout(), crate::StateLayout::Interleaved);
-        assert_eq!(default.name(), "sharded256");
     }
 }

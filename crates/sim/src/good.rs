@@ -247,7 +247,7 @@ pub(crate) fn stream_machine_fused_tape(
         }
         // One combinational sweep over both value tables: each gate's
         // metadata (opcode, CSR window) is read once and drives both
-        // machines, the scalar analogue of the packed engines' fused
+        // machines, the scalar analogue of the packed engine's fused
         // good lane.
         let ops = tape.ops();
         let outs = tape.gate_out();

@@ -13,12 +13,13 @@
 //!   works with.
 //! * [`simulate_good`] — fault-free simulation from the all-unknown state.
 //! * [`FaultSimulator`] — the sequential fault simulator facade over a
-//!   pluggable [`SimBackend`]: the default [`PackedBackend`] runs 63
-//!   faulty machines per pass plus the fused good machine in the top
-//!   lane; [`ShardedBackend`] splits the fault list across OS threads at
-//!   a configurable [`WordWidth`] (64/256/512 lanes); the
-//!   [`ScalarBackend`] reference engine runs one machine at a time for
-//!   differential testing. Every engine executes the compiled
+//!   pluggable [`SimBackend`]: the packed [`ShardedBackend`] splits the
+//!   fault list across OS threads at a configurable [`WordWidth`]
+//!   (64/256/512 lanes), one faulty machine per lane plus the fused good
+//!   machine in the top lane, and its one-thread 64-lane form
+//!   ([`ShardedBackend::packed64`], 63 faulty machines per pass) is the
+//!   default engine; the [`ScalarBackend`] reference engine runs one
+//!   machine at a time for differential testing. Every engine executes the compiled
 //!   [`GateTape`] (flat CSR fanin arrays + byte opcodes, compiled once
 //!   per circuit and shareable via
 //!   [`SimBackend::detection_times_tape`]); the node-graph oracle of the
@@ -62,15 +63,12 @@ mod good;
 mod logic;
 mod mapped;
 mod packed;
-mod planes;
 pub mod reference;
 mod simulator;
 mod stepped;
 pub mod transition;
 
-pub use backend::{
-    PackedBackend, ScalarBackend, ShardedBackend, SimBackend, StateLayout, WordWidth,
-};
+pub use backend::{ScalarBackend, ShardedBackend, SimBackend, WordWidth};
 /// Re-exported from `bist-expand`: the replayable vector-stream trait the
 /// backends consume.
 pub use bist_expand::VectorSource;

@@ -114,7 +114,7 @@ pub fn detection_times_mapped_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::PackedBackend;
+    use crate::backend::ShardedBackend;
     use crate::{collapse, fault_universe};
     use bist_expand::TestSequence;
     use bist_netlist::{benchmarks, compile_staged, CompileOptions};
@@ -129,7 +129,7 @@ mod tests {
         let compiled = compile_staged(&c, CompileOptions::all());
         let faults = fault_universe(&c);
         let t0 = table2_t0();
-        let backend = PackedBackend;
+        let backend = ShardedBackend::packed64();
         let baseline = backend.detection_times_tape(compiled.baseline(), &t0, &faults).unwrap();
         let mapped = detection_times_mapped(&backend, &compiled, &t0, &faults).unwrap();
         assert_eq!(mapped, baseline);
@@ -144,7 +144,7 @@ mod tests {
         let compiled = compile_staged(&c, CompileOptions::none());
         let faults = fault_universe(&c);
         let t0 = table2_t0();
-        let backend = PackedBackend;
+        let backend = ShardedBackend::packed64();
         assert_eq!(
             detection_times_mapped(&backend, &compiled, &t0, &faults).unwrap(),
             backend.detection_times_tape(compiled.tape(), &t0, &faults).unwrap()
@@ -156,7 +156,7 @@ mod tests {
         let c = benchmarks::s27();
         let compiled = compile_staged(&c, CompileOptions::all());
         let bad: TestSequence = "000 000".parse().unwrap();
-        let err = detection_times_mapped(&PackedBackend, &compiled, &bad, &[]);
+        let err = detection_times_mapped(&ShardedBackend::packed64(), &compiled, &bad, &[]);
         assert!(matches!(err, Err(SimError::WidthMismatch { .. })));
     }
 }

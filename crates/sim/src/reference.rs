@@ -115,7 +115,7 @@ fn first_detection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{collapse, fault_universe, PackedBackend, SimBackend};
+    use crate::{collapse, fault_universe, ShardedBackend, SimBackend};
     use bist_expand::TestSequence;
     use bist_netlist::benchmarks;
 
@@ -125,7 +125,7 @@ mod tests {
         let faults = collapse(&c, &fault_universe(&c)).representatives().to_vec();
         let t0: TestSequence = "0111 1001 0111 1001 0100 1011 1001 0000 0000 1011".parse().unwrap();
         let oracle = detection_times(&c, &t0, &faults).unwrap();
-        let packed = PackedBackend.detection_times(&c, &t0, &faults).unwrap();
+        let packed = ShardedBackend::packed64().detection_times(&c, &t0, &faults).unwrap();
         assert_eq!(oracle, packed);
         assert_eq!(oracle.iter().filter(|t| t.is_some()).count(), 32);
     }

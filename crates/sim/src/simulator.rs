@@ -25,7 +25,7 @@
 //! the lazy [`ExpansionIter`](bist_expand::ExpansionIter) without ever
 //! materializing `Sexp`.
 
-use crate::backend::{PackedBackend, ScalarBackend, ShardedBackend, SimBackend, WordWidth};
+use crate::backend::{ScalarBackend, ShardedBackend, SimBackend, WordWidth};
 use crate::good::GoodTrace;
 use crate::{Fault, SimError};
 use bist_expand::{TestSequence, VectorSource};
@@ -70,7 +70,7 @@ impl<'c> FaultSimulator<'c> {
     /// packed engine, compiling the circuit's tape.
     #[must_use]
     pub fn new(circuit: &'c Circuit) -> Self {
-        FaultSimulator::with_backend(circuit, Arc::new(PackedBackend))
+        FaultSimulator::with_backend(circuit, Arc::new(ShardedBackend::packed64()))
     }
 
     /// Creates a simulator using the scalar reference engine (one faulty
@@ -373,7 +373,8 @@ mod tests {
         let c = benchmarks::s27();
         let other = benchmarks::shift_register3();
         let alien = Arc::new(GateTape::compile(&other));
-        let err = FaultSimulator::with_backend_and_tape(&c, alien, Arc::new(PackedBackend));
+        let err =
+            FaultSimulator::with_backend_and_tape(&c, alien, Arc::new(ShardedBackend::packed64()));
         assert!(matches!(err, Err(SimError::TapeMismatch { .. })));
     }
 

@@ -1,8 +1,8 @@
 //! Seeded differential suite over the full benchmark suite: the seed's
 //! node-graph scalar oracle ([`bist_sim::reference`], which never touches
 //! the compiled tape) vs every tape-executing engine — the scalar tape
-//! engine, the packed engine and the sharded engine at widths 64/256/512
-//! and 1/2/4 threads — on all 13 suite circuits.
+//! engine and the packed engine at widths 64/256/512 and 1/2/4 threads —
+//! on all 13 suite circuits.
 //!
 //! Equality is asserted on *detection times*, not just detected /
 //! undetected — the paper's selection procedures key off `udet(f)`, so a
@@ -43,10 +43,9 @@ fn random_sequence(circuit: &Circuit, len: usize, rng: &mut StdRng) -> TestSeque
 
 mod common;
 
-/// Every tape-executing engine: the scalar tape engine, packed64 and the
-/// full sharded width × thread grid in both state layouts (the
-/// interleaved production default and the blocked bit-plane
-/// alternative).
+/// Every tape-executing engine: the scalar tape engine and the full
+/// packed width × thread grid (`packed64` is its one-thread 64-lane
+/// cell).
 fn tape_engines() -> Vec<Box<dyn SimBackend>> {
     common::engine_grid(&[1, 2, 4])
 }

@@ -6,8 +6,8 @@
 //! zero-gate netlists with POs wired straight to PIs/DFFs, single gates
 //! of every opcode, deep chains, extreme fanout/fanin, and general
 //! random levelized circuits — each simulated under random stimulus by
-//! **every** engine (scalar tape, packed64, sharded × widths 64/256/512
-//! × threads 1/2/4 × both state layouts) and compared bit-for-bit
+//! **every** engine (scalar tape, and the packed engine × widths
+//! 64/256/512 × threads 1/2/4) and compared bit-for-bit
 //! against the node-graph oracle in [`bist_sim::reference`].
 //!
 //! Two entry points, like the 13-circuit campaign acceptance test:
@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 
 mod common;
 
-/// Every tape-executing engine, both state layouts included.
+/// Every tape-executing engine.
 fn engine_grid() -> Vec<Box<dyn SimBackend>> {
     common::engine_grid(&[1, 2, 4])
 }

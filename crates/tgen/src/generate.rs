@@ -5,7 +5,7 @@ use crate::{static_compact, RandomSequence, TgenConfig};
 use bist_expand::TestSequence;
 use bist_netlist::{Circuit, GateTape};
 use bist_sim::{
-    collapse, fault_universe, Fault, FaultCoverage, FaultSimulator, PackedBackend, SimError,
+    collapse, fault_universe, Fault, FaultCoverage, FaultSimulator, ShardedBackend, SimError,
 };
 use std::sync::Arc;
 
@@ -87,7 +87,8 @@ pub fn generate_t0_with_artifacts(
     faults: Vec<Fault>,
     tape: Arc<GateTape>,
 ) -> Result<GeneratedTest, SimError> {
-    let sim = FaultSimulator::with_backend_and_tape(circuit, tape, Arc::new(PackedBackend))?;
+    let sim =
+        FaultSimulator::with_backend_and_tape(circuit, tape, Arc::new(ShardedBackend::packed64()))?;
     generate_on(&sim, config, faults)
 }
 

@@ -1,10 +1,10 @@
 //! Static analysis for the `subseq-bist` pipeline.
 //!
-//! Four generations of hot-path machinery (packed-word lanes, compiled
-//! gate tapes, patch-point injection, bit-plane tiles) rest on
-//! structural invariants that until now were only exercised
-//! *dynamically*, by differential tests. This crate checks them
-//! statically — without simulating a single vector:
+//! Three generations of hot-path machinery (packed-word lanes, compiled
+//! gate tapes, patch-point injection) rest on structural invariants
+//! that until now were only exercised *dynamically*, by differential
+//! tests. This crate checks them statically — without simulating a
+//! single vector:
 //!
 //! * [`lint`] — netlist lint over `.bench` sources and validated
 //!   [`Circuit`](bist_netlist::Circuit)s: combinational cycles, undriven

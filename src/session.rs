@@ -49,7 +49,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// 63 faulty machines + the fused good machine per pass (the default
-    /// single-threaded production engine).
+    /// single-threaded production engine: [`ShardedBackend::packed64`],
+    /// the sharded engine at one thread and 64 lanes).
     #[default]
     Packed,
     /// One faulty machine at a time (reference engine).
@@ -75,7 +76,7 @@ pub enum Backend {
 impl Backend {
     fn engine(self) -> Result<Arc<dyn SimBackend>, BistError> {
         match self {
-            Backend::Packed => Ok(Arc::new(bist_sim::PackedBackend)),
+            Backend::Packed => Ok(Arc::new(ShardedBackend::packed64())),
             Backend::Scalar => Ok(Arc::new(bist_sim::ScalarBackend)),
             Backend::Sharded { threads, width } => {
                 let width = WordWidth::from_lanes(width).ok_or_else(|| {
@@ -1048,7 +1049,7 @@ mod tests {
         };
         let packed = run(Backend::Packed);
         for (threads, width, name) in
-            [(1, 64, "sharded64"), (2, 256, "sharded256"), (4, 512, "sharded512")]
+            [(1, 64, "packed64"), (2, 256, "sharded256"), (4, 512, "sharded512")]
         {
             let sharded = run(Backend::Sharded { threads, width });
             assert_eq!(sharded.backend_name(), name);
